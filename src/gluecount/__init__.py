@@ -22,7 +22,6 @@ from .cut_count import (
     count_subfree_cutpre,
     count_with_subdivergences,
     cut_and_relabel,
-    decomposition_list,
 )
 from .generate import all_normalized_trees, random_coloured_pair, random_tree
 from .oracle import (
@@ -51,7 +50,6 @@ from .trees import (
     contract_edge,
     normalize,
     parse_tree,
-    serialize_tree,
     subdivide_edge,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "count_subfree_recursive",
     "count_with_subdivergences",
     "cut_and_relabel",
-    "decomposition_list",
     "fan_line_count",
     "line_count",
     "line_s_count",
@@ -93,7 +90,6 @@ __all__ = [
     "random_coloured_pair",
     "random_tree",
     "s_connected_count",
-    "serialize_tree",
     "subdivide_edge",
     "two_ended_equal_count",
     "two_ended_unequal_count",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 algorithm disagreement, 2 usage or parse error,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -36,7 +37,6 @@ from .trees import (
     TwoEnded,
     build_family,
     parse_tree,
-    serialize_tree,
 )
 
 EXIT_OK = 0
@@ -128,7 +128,7 @@ def cmd_count(args) -> int:
     elif resolved == "cutpre":
         metadata["cache"] = cut_count.cache_info()
     report = RunReport(
-        (serialize_tree(t1), serialize_tree(t2)),
+        (t1.canon, t2.canon),
         args.algo,
         count,
         elapsed,
@@ -157,7 +157,7 @@ def _agreement(t1: RootedTree, t2: RootedTree) -> Optional[str]:
     if brute == rec == cut:
         return None
     return (
-        f"counterexample: t1={serialize_tree(t1)} t2={serialize_tree(t2)} "
+        f"counterexample: t1={t1.canon} t2={t2.canon} "
         f"brute={brute} recursive={rec} cutpre={cut}"
     )
 
@@ -287,7 +287,7 @@ def cmd_sequence(args) -> int:
         if args.json:
             print(
                 RunReport(
-                    (serialize_tree(tree), serialize_tree(tree)),
+                    (tree.canon, tree.canon),
                     args.algo,
                     count,
                     elapsed,
@@ -350,11 +350,14 @@ def cmd_gen(args) -> int:
         tree = build_family(_make_spec(args.family, fields))
     except ValueError as err:
         raise UsageError(str(err)) from err
-    print(serialize_tree(tree))
+    print(tree.canon)
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="gluecount",
         description="Count subdivergence-free gluings of leaf-coloured "

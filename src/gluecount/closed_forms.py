@@ -118,6 +118,8 @@ def _shape(t: RootedTree) -> Optional[RootedTree]:
     """Uncoloured copy of a monochrome tree, None when colours are mixed."""
     if len(t.colour_counts) != 1:
         return None
+    if UNCOLOURED in t.colour_counts:
+        return t
     return RootedTree(
         t.root,
         {v: t.children_of(v) for v in t.vertices},
@@ -125,13 +127,21 @@ def _shape(t: RootedTree) -> Optional[RootedTree]:
     )
 
 
+# Each recogniser reads the family parameters off the tree's leaf counts,
+# builds that one candidate and compares.  The ``as_*`` functions take any
+# tree; the ``_as_*`` readings take the uncoloured shape (or None).
+
+
 def as_line_marks(t: RootedTree) -> Optional[frozenset]:
     """Mark set when ``t`` is a caterpillar (chain of internal vertices,
     leaves attached along it), else None."""
-    t = _shape(t)
+    return _as_line_marks(_shape(t))
+
+
+def _as_line_marks(t: Optional[RootedTree]) -> Optional[frozenset]:
     if t is None:
         return None
-    marks = frozenset(len(t.leaves_below(e)) for e in t.internal_edge_list)
+    marks = frozenset(m.bit_count() for m in t.edge_masks)
     if any(not 1 <= m <= t.leaf_count - 1 for m in marks):
         return None
     if t == build_family(LineS(t.leaf_count, marks)):
@@ -141,28 +151,38 @@ def as_line_marks(t: RootedTree) -> Optional[frozenset]:
 
 def as_two_ended(t: RootedTree) -> Optional[tuple[int, int]]:
     """Arm lengths (k, l) with k >= l when ``t`` is a two-chain tree."""
-    t = _shape(t)
-    if t is None:
+    return _as_two_ended(_shape(t))
+
+
+def _as_two_ended(t: Optional[RootedTree]) -> Optional[tuple[int, int]]:
+    if t is None or len(kids := t.children_of(t.root)) != 2:
         return None
-    n = t.leaf_count
-    for k in range(n - 1, (n - 1) // 2, -1):
-        if t == build_family(TwoEnded(k, n - k)):
-            return k, n - k
+    l, k = sorted(t.leaf_mask(c).bit_count() for c in kids)
+    if t == build_family(TwoEnded(k, l)):
+        return k, l
     return None
 
 
 def as_fan_line(t: RootedTree) -> Optional[tuple[int, int, int]]:
     """Parameters (k, i, j) when ``t`` is a chain with a side fan."""
-    t = _shape(t)
-    if t is None:
+    return _as_fan_line(_shape(t))
+
+
+def _as_fan_line(t: Optional[RootedTree]) -> Optional[tuple[int, int, int]]:
+    # The side fan and the chain's tip are the edges with the fewest (j)
+    # leaves; the fan's parent, the higher of their parents, has 2j + i - 2.
+    if t is None or not t.edge_masks:
         return None
-    n = t.leaf_count
-    j = 1
-    while (k := n - 2 * (j - 1)) >= 3:
-        for i in range(2, k):
-            if t == build_family(FanLine(k, i, j)):
-                return k, i, j
-        j += 1
+    j = min(m.bit_count() for m in t.edge_masks)
+    parent = t.parent
+    above = max(
+        t.leaf_mask(parent[e]).bit_count()
+        for e, m in zip(t.internal_edge_list, t.edge_masks)
+        if m.bit_count() == j
+    )
+    k, i = t.leaf_count - 2 * (j - 1), above - 2 * j + 2
+    if 1 < i < k and t == build_family(FanLine(k, i, j)):
+        return k, i, j
     return None
 
 
@@ -197,13 +217,14 @@ def closed_count(t1: RootedTree, t2: RootedTree) -> int:
 
 
 def _classify(t: RootedTree):
-    marks = as_line_marks(t)
+    shape = _shape(t)
+    marks = _as_line_marks(shape)
     if marks is not None:
         return "line", marks
-    arms = as_two_ended(t)
+    arms = _as_two_ended(shape)
     if arms is not None:
         return "two-ended", arms
-    params = as_fan_line(t)
+    params = _as_fan_line(shape)
     if params is not None:
         return "fan-line", params
     return None

@@ -21,7 +21,6 @@ and trimming rows; the pair cache then stores plain integers.  A full
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, prod
 
 from .trees import (
@@ -93,23 +92,12 @@ def cut_and_relabel(t: RootedTree, edges) -> CutDecomposition:
     return CutDecomposition(RootedTree(t.root, children, colours), components)
 
 
-@lru_cache(maxsize=512)
-def decomposition_list(t: RootedTree) -> tuple[CutDecomposition, ...]:
-    """Every way to cut a sibling set off ``t``.
-
-    Cached on the tree itself (trees hash by canonical form) for callers
-    pairing one tree against many; the counting loop below keeps its own
-    slimmer tables instead.
-    """
-    return tuple(cut_and_relabel(t, s) for s in sibling_sets(t))
-
-
 _ID_BITS = 26  # pair keys pack two ids into one int
 
 _ids: dict[str, int] = {}
 _ckeys: list[str] = []  # colour multiset key per id
 _totals: list[int] = []  # colour-preserving self count per id
-_spurs: list[dict] = []  # colour token -> (class size, single-leaf cuts)
+_spurs: list[dict] = []  # colour -> (class size, single-leaf cuts)
 _pending: list = []  # tree retained until its rows are built
 _rows: list = []  # (n_cut, trunk id, weight sum, multiplicity), lazy
 _memo: dict[int, int] = {}
@@ -120,18 +108,12 @@ def _self_count(c: Counter) -> int:
 
 
 def _spur_profile(t: RootedTree) -> dict:
-    """Per colour token: class size and how many of the class hang alone
-    under an internal edge (their singleton is then a cuttable leaf set)."""
-    single = {
-        next(iter(lb))
-        for v in t.internal_edge_list
-        if len(lb := t.leaves_below(v)) == 1
-    }
-    hanging = Counter(t.colour_of(x).token for x in single)
-    return {
-        c.token: (m, hanging.get(c.token, 0))
-        for c, m in t.colour_counts.items()
-    }
+    """Per colour: class size and how many of the class hang alone under
+    an internal edge (their singleton is then a cuttable leaf set)."""
+    order = t.canonical_leaf_order
+    single = {m for m in t.edge_masks if not m & (m - 1)}
+    hanging = Counter(t.colour_of(order[m.bit_length() - 1]) for m in single)
+    return {c: (m, hanging[c]) for c, m in t.colour_counts.items()}
 
 
 def _intern(t: RootedTree) -> int:
@@ -210,21 +192,18 @@ def _subfree(a: int, b: int) -> int:
     return total
 
 
-def count_with_subdivergences(
-    t1: RootedTree, t2: RootedTree, prune: bool = True
-) -> int:
+def count_with_subdivergences(t1: RootedTree, t2: RootedTree) -> int:
     """Colour-preserving gluings containing at least one fully internal
-    cut.  ``prune`` skips antichain pairs that cut different numbers of
-    branches, which always contribute zero; both settings agree."""
+    cut.  Antichain pairs that cut different numbers of branches always
+    contribute zero and are skipped."""
     a, b = _intern(normalize(t1)), _intern(normalize(t2))
     if _ckeys[a] != _ckeys[b]:
         return 0
     total = 0
     for n1, u1, w1, _ in _rows_of(a):
         for n2, u2, _, m2 in _rows_of(b):
-            if prune and n1 != n2:
-                continue
-            total += w1 * m2 * _subfree(u1, u2)
+            if n1 == n2:
+                total += w1 * m2 * _subfree(u1, u2)
     return total
 
 
@@ -236,22 +215,10 @@ def count_subfree_cutpre(t1: RootedTree, t2: RootedTree) -> int:
     return _subfree(_intern(normalize(t1)), _intern(normalize(t2)))
 
 
-def subdivergence_free(t1: RootedTree, t2: RootedTree) -> int:
-    """Alias of ``count_subfree_cutpre``; this name and ``subdivergence``
-    make the pair of mutually recursive counters read as a unit."""
-    return count_subfree_cutpre(t1, t2)
-
-
-def subdivergence(t1: RootedTree, t2: RootedTree) -> int:
-    """Alias of ``count_with_subdivergences``."""
-    return count_with_subdivergences(t1, t2)
-
-
 def cache_info() -> dict:
     return {
         "trees": len(_ckeys),
         "pairs": len(_memo),
-        "decompositions": decomposition_list.cache_info().currsize,
     }
 
 
@@ -263,4 +230,3 @@ def clear_cache() -> None:
     _pending.clear()
     _rows.clear()
     _memo.clear()
-    decomposition_list.cache_clear()

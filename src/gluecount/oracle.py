@@ -94,18 +94,11 @@ def _mask_data(t: RootedTree):
     Returns (edge index tuples sorted by size, parallel masks, mask set).
     Canonical indexing makes this depend only on the isomorphism class.
     """
-    idx = t.leaf_index
-    edges = sorted(
-        (tuple(sorted(idx[v] for v in t.leaves_below(e))) for e in t.internal_edge_list),
-        key=len,
+    masks = sorted(t.edge_masks, key=int.bit_count)
+    edges = tuple(
+        tuple(i for i in range(t.leaf_count) if m >> i & 1) for m in masks
     )
-    masks = []
-    for tup in edges:
-        m = 0
-        for i in tup:
-            m |= 1 << i
-        masks.append(m)
-    return tuple(edges), tuple(masks), frozenset(masks)
+    return edges, tuple(masks), frozenset(masks)
 
 
 @lru_cache(maxsize=None)
@@ -456,12 +449,7 @@ def boundary_antichain_pair(
     if set(gi) != t1.leaves or set(gi.values()) != t2.leaves:
         raise ValueError("classifier needs a full gluing")
     idx2 = t2.leaf_index
-    mask_to_edge2 = {}
-    for e2 in t2.internal_edge_list:
-        mk = 0
-        for v in t2.leaves_below(e2):
-            mk |= 1 << idx2[v]
-        mask_to_edge2[mk] = e2
+    mask_to_edge2 = dict(zip(t2.edge_masks, t2.internal_edge_list))
     matched: dict[int, int] = {}
     for e1 in t1.internal_edge_list:
         img = 0

@@ -90,13 +90,10 @@ def _with_stalk_root(t: RootedTree) -> RootedTree:
 
 def _build_view(tid: int) -> _View:
     t = _trees[tid]
-    lbs = frozenset(
-        _mask_of(t, t.leaves_below(e)) for e in t.internal_edge_list
-    )
     common = dict(
         leaf_count=t.leaf_count,
         full_mask=(1 << t.leaf_count) - 1,
-        lbs=lbs,
+        lbs=frozenset(t.edge_masks),
     )
     kids = t.children_of(t.root)
     internal = [c for c in kids if not t.is_leaf(c)]
@@ -121,7 +118,7 @@ def _build_view(tid: int) -> _View:
         part2_tid=_intern(rest),
         map1=_position_map(t, wrapped),
         map2=_position_map(t, rest),
-        branch_mask=_mask_of(t, branch.leaves),
+        branch_mask=t.leaf_mask(branch.root),
         **common,
     )
 

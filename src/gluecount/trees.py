@@ -15,6 +15,10 @@ The tree model used throughout the package:
 Canonical serialization (children sorted recursively by their own
 serializations) defines tree identity: two ``RootedTree`` objects compare
 equal exactly when they are isomorphic as rooted leaf-coloured trees.
+Leaf sets are bitmasks over canonical leaf positions (the order in which
+leaf tokens appear in the serialization): ``leaf_mask(v)`` below any
+vertex and ``edge_masks`` below the internal edges are the one encoding
+every counter uses.
 
 Grammar accepted by :func:`parse_tree` (whitespace between tokens ignored)::
 
@@ -176,84 +180,90 @@ class RootedTree:
             v for v in self._children if v != self.root and self._children[v]
         )
 
-    @cached_property
-    def _below(self) -> dict[int, frozenset[int]]:
-        # Leaf sets below every vertex, computed bottom-up without recursion.
+    def _bottom_up(self) -> list[int]:
+        """Every vertex after all of its descendants, children left to right
+        (the post-order of a recursive walk), found without recursion."""
         order: list[int] = []
         stack = [self.root]
         while stack:
             v = stack.pop()
             order.append(v)
             stack.extend(self._children[v])
-        out: dict[int, frozenset[int]] = {}
-        for v in reversed(order):
-            cs = self._children[v]
+        order.reverse()
+        return order
+
+    @cached_property
+    def _layout(self) -> tuple[str, tuple[int, ...], dict[int, int]]:
+        """(canonical serialization, canonical leaf order, leaf mask per
+        vertex) from one bottom-up and one top-down pass.
+
+        The bottom-up pass serializes every subtree with its children sorted
+        by their own serializations; children that serialize equally keep
+        the reverse of their stored order, a fixed arbitrary choice that
+        keeps subset encodings deterministic per instance.  The top-down
+        pass numbers the leaves in that order, so the leaves below any
+        vertex take consecutive positions.
+        """
+        children = self._children
+        serial: dict[int, str] = {}
+        size: dict[int, int] = {}
+        ordered: dict[int, list[int]] = {}
+        bottom_up = self._bottom_up()
+        for v in bottom_up:
+            cs = children[v]
             if not cs:
-                out[v] = frozenset((v,))
+                serial[v] = self._leaf_colours[v].token()
+                size[v] = 1
             else:
-                acc: set[int] = set()
-                for c in cs:
-                    acc |= out[c]
-                out[v] = frozenset(acc)
-        return out
+                kids = ordered[v] = sorted(reversed(cs), key=serial.__getitem__)
+                serial[v] = "(" + ",".join([serial[c] for c in kids]) + ")"
+                size[v] = sum([size[c] for c in kids])
+        start = {self.root: 0}
+        leaf_order: list[int] = [0] * size[self.root]
+        for v in reversed(bottom_up):  # parents before children
+            at = start[v]
+            if v in ordered:
+                for c in ordered[v]:
+                    start[c] = at
+                    at += size[c]
+            else:
+                leaf_order[at] = v
+        masks = {v: ((1 << size[v]) - 1) << start[v] for v in bottom_up}
+        return serial[self.root], tuple(leaf_order), masks
+
+    def leaf_mask(self, v: int) -> int:
+        """Leaves below vertex ``v`` as a bitmask over canonical leaf
+        positions (bit i set for the leaf at ``canonical_leaf_order[i]``)."""
+        return self._layout[2][v]
+
+    @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        """Leaf mask below each internal edge, parallel to
+        ``internal_edge_list``."""
+        masks = self._layout[2]
+        return tuple(masks[e] for e in self.internal_edge_list)
 
     def leaves_below(self, edge: int) -> frozenset[int]:
         """All leaves in the subtree hanging below ``edge``."""
         if edge == self.root or edge not in self._children:
             raise ValueError(f"no edge with child vertex {edge}")
-        return self._below[edge]
+        mask = self.leaf_mask(edge)
+        first = (mask & -mask).bit_length() - 1
+        return frozenset(
+            self.canonical_leaf_order[first : first + mask.bit_count()]
+        )
 
     # -- canonical form ----------------------------------------------------
 
     @cached_property
     def canon(self) -> str:
         """Canonical serialization; identical for isomorphic trees."""
-        out: dict[int, str] = {}
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(self._children[v])
-        for v in reversed(order):
-            cs = self._children[v]
-            if not cs:
-                out[v] = self._leaf_colours[v].token()
-            else:
-                out[v] = "(" + ",".join(sorted(out[c] for c in cs)) + ")"
-        return out[self.root]
+        return self._layout[0]
 
     @cached_property
     def canonical_leaf_order(self) -> tuple[int, ...]:
-        """Leaf ids in the order their tokens appear in ``canon``.
-
-        Children with equal serializations are visited in a fixed arbitrary
-        order, which keeps subset encodings deterministic per instance.
-        """
-        serial: dict[int, str] = {}
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(self._children[v])
-        for v in reversed(order):
-            cs = self._children[v]
-            if not cs:
-                serial[v] = self._leaf_colours[v].token()
-            else:
-                serial[v] = "(" + ",".join(sorted(serial[c] for c in cs)) + ")"
-        leaves: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            cs = self._children[v]
-            if not cs:
-                leaves.append(v)
-            else:
-                # Reversed sorted order so the stack pops canonically first.
-                stack.extend(sorted(cs, key=lambda c: serial[c], reverse=True))
-        return tuple(leaves)
+        """Leaf ids in the order their tokens appear in ``canon``."""
+        return self._layout[1]
 
     @cached_property
     def leaf_index(self) -> dict[int, int]:
@@ -320,26 +330,25 @@ def from_nested(spec: NestedSpec) -> RootedTree:
     ``from_nested([0, [1, 1]])`` is a root with a colour-0 leaf and an
     internal child holding two colour-1 leaves.
     """
-    children: dict[int, tuple[int, ...]] = {}
+    # Vertices are numbered in pre-order, the root being 0.
+    children: dict[int, list[int]] = {}
     colours: dict[int, Colour] = {}
-    counter = itertools.count()
-
-    def build(node: NestedSpec) -> int:
-        v = next(counter)
+    stack: list = [(None, spec)]
+    while stack:
+        parent, node = stack.pop()
+        v = len(children)
+        children[v] = []
+        if parent is not None:
+            children[parent].append(v)
         if isinstance(node, Colour):
-            children[v] = ()
             colours[v] = node
         elif isinstance(node, int):
-            children[v] = ()
             colours[v] = Colour.base(node)
         else:
             if len(node) == 0:
                 raise ValueError("internal vertex needs at least one child")
-            children[v] = tuple(build(c) for c in node)
-        return v
-
-    root = build(spec)
-    return RootedTree(root, children, colours)
+            stack.extend((v, c) for c in reversed(node))
+    return RootedTree(0, children, colours)
 
 
 def single_vertex(colour: Colour = UNCOLOURED) -> RootedTree:
@@ -413,42 +422,39 @@ def parse_tree(text: str) -> RootedTree:
             raise ParseError("unbalanced '{' in fresh colour", start)
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    children: dict[int, tuple[int, ...]] = {}
+    # Vertices are numbered in pre-order, the root being 0; ``open_`` holds
+    # the internal vertices whose ')' is still to come.
+    children: dict[int, list[int]] = {}
     colours: dict[int, Colour] = {}
-    counter = itertools.count()
-
-    def parse_node() -> int:
-        nonlocal pos
+    open_: list[int] = []
+    while True:
         skip_ws()
         if pos >= n:
             raise ParseError("unexpected end of input", pos)
-        v = next(counter)
+        v = len(children)
+        children[v] = []
+        if open_:
+            children[open_[-1]].append(v)
         if text[pos] == "(":
             pos += 1
-            kids = [parse_node()]
+            open_.append(v)
+            continue
+        colours[v] = parse_colour()
+        while open_:  # after a node: next sibling, or close its parents
             skip_ws()
-            while pos < n and text[pos] == ",":
+            if pos < n and text[pos] == ",":
                 pos += 1
-                kids.append(parse_node())
-                skip_ws()
+                break
             if pos >= n or text[pos] != ")":
                 raise ParseError("expected ')' or ','", pos)
             pos += 1
-            children[v] = tuple(kids)
+            open_.pop()
         else:
-            children[v] = ()
-            colours[v] = parse_colour()
-        return v
-
-    root = parse_node()
+            break
     skip_ws()
     if pos != n:
         raise ParseError("trailing input after tree", pos)
-    return RootedTree(root, children, colours)
-
-
-def serialize_tree(t: RootedTree) -> str:
-    return t.canon
+    return RootedTree(0, children, colours)
 
 
 # -- families ---------------------------------------------------------------
@@ -560,14 +566,6 @@ def build_family(spec: FamilySpec) -> RootedTree:
 # -- structural operations ---------------------------------------------------
 
 
-def leaves_below(t: RootedTree, edge: int) -> frozenset[int]:
-    return t.leaves_below(edge)
-
-
-def internal_edges(t: RootedTree) -> tuple[int, ...]:
-    return t.internal_edge_list
-
-
 def contract_edge(t: RootedTree, edge: int) -> RootedTree:
     """Contract an internal edge, merging its child into its parent."""
     if edge not in t.internal_edge_list:
@@ -606,18 +604,16 @@ def normalize(t: RootedTree) -> RootedTree:
     the operation is idempotent.
     """
     children: dict[int, tuple[int, ...]] = {}
-
-    def walk(v: int) -> int:
-        kids = tuple(walk(c) for c in t.children_of(v))
+    kept: dict[int, int] = {}  # vertex -> the vertex standing in for it
+    for v in t._bottom_up():
+        kids = tuple(kept[c] for c in t.children_of(v))
         if v != t.root and len(kids) == 1 and children[kids[0]]:
-            return kids[0]
-        children[v] = kids
-        return v
-
-    # walk() fills `children` bottom-up; recursion depth = tree height.
-    root = walk(t.root)
+            kept[v] = kids[0]
+        else:
+            children[v] = kids
+            kept[v] = v
     colours = {v: t.colour_of(v) for v in t.leaves}
-    return RootedTree(root, children, colours)
+    return RootedTree(t.root, children, colours)
 
 
 def is_normalized(t: RootedTree) -> bool:
@@ -650,29 +646,26 @@ def sibling_sets(t: RootedTree) -> Iterator[frozenset[int]]:
     compose independently across sibling branches.
     """
 
-    def options(v: int) -> list[frozenset[int]]:
-        # All antichains (including the empty one) using internal edges in
-        # the subtree at internal vertex v, where v itself is an edge.
-        below: list[list[frozenset[int]]] = [
-            options(c) for c in t.children_of(v) if not t.is_leaf(c)
-        ]
-        combos = [frozenset()]
-        for opts in below:
-            combos = [a | b for a in combos for b in opts]
-        return combos + [frozenset((v,))]
-
-    tops = [options(c) for c in t.children_of(t.root) if not t.is_leaf(c)]
-    combos = [frozenset()]
-    for opts in tops:
-        combos = [a | b for a in combos for b in opts]
-    for s in combos:
-        if s:
-            yield s
-
-
-def colour_multiset(t: RootedTree) -> Counter:
-    """Multiset of leaf colours."""
-    return Counter(t.colour_counts)
+    # options[v]: all antichains (the empty one included) of internal
+    # edges in the subtree at internal non-root vertex v, v among them.
+    options: dict[int, list[frozenset[int]]] = {}
+    for v in t._bottom_up():
+        if t.is_leaf(v):
+            continue
+        combos = None
+        for c in t.children_of(v):
+            below = options.pop(c, None)
+            if below is not None:
+                combos = below if combos is None else [
+                    a | b for a in combos for b in below
+                ]
+        if combos is None:
+            combos = [frozenset()]
+        if v != t.root:
+            combos.append(frozenset((v,)))
+            options[v] = combos
+        else:
+            yield from (s for s in combos if s)
 
 
 def colour_classes(t: RootedTree) -> dict[Colour, tuple[int, ...]]:

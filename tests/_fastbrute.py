@@ -24,14 +24,6 @@ def _perm_matrix(n: int) -> np.ndarray:
     return _perms[n]
 
 
-def _edge_masks(t) -> list[int]:
-    idx = t.leaf_index
-    return [
-        sum(1 << idx[x] for x in t.leaves_below(v))
-        for v in t.internal_edge_list
-    ]
-
-
 def _image_table(t) -> np.ndarray:
     """Boolean (n!, 2^n) table: entry [p, m] says whether permutation p
     sends some internal leaf set of ``t`` onto the position set m."""
@@ -43,7 +35,7 @@ def _image_table(t) -> np.ndarray:
     perms = _perm_matrix(n)
     table = np.zeros((len(perms), 1 << n), dtype=bool)
     rows = np.arange(len(perms))
-    for mask in _edge_masks(t):
+    for mask in t.edge_masks:
         image = np.zeros(len(perms), dtype=np.int64)
         for i in range(n):
             if mask >> i & 1:
@@ -58,7 +50,7 @@ def subfree_count(t1, t2) -> int:
     n = t1.leaf_count
     if t2.leaf_count != n:
         return 0
-    masks2 = _edge_masks(t2)
+    masks2 = list(t2.edge_masks)
     table = _image_table(t1)
     if not masks2:
         return table.shape[0]

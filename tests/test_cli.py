@@ -64,6 +64,14 @@ class TestCount:
         assert record["algorithm"] == "recursive"
         assert record["elapsed"] >= 0
 
+    def test_json_flag_does_not_carry_over(self, capsys):
+        pair = ("count", "--t1", "((*),*)", "--t2", "((*),*)")
+        _, first, _ = run(capsys, *pair, "--json")
+        assert json.loads(first)["count"] == 1
+        _, second, _ = run(capsys, *pair)
+        assert "count 1" in second.splitlines()
+        assert not second.startswith("{")
+
     def test_symmetry_across_algorithms(self, capsys):
         pair = ("(((*),*),*)", "((*,*),*)")
         for algo in ("brute", "recursive", "cutpre", "auto"):

@@ -220,6 +220,10 @@ class TestClosedCount:
         f = build_family(FanLine(4, 3, 1))
         assert closed_count(f, f) == 3
 
+    def test_deep_line_self_pair(self):
+        t = build_family(Line(600))
+        assert closed_count(t, t) == connected_count(600)
+
     def test_normalizes_before_recognizing(self):
         stretched = parse_tree("((((*),*)),*)")
         assert closed_count(stretched, build_family(Line(3))) == 3

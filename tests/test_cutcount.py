@@ -14,9 +14,6 @@ from gluecount.cut_count import (
     count_subfree_cutpre,
     count_with_subdivergences,
     cut_and_relabel,
-    decomposition_list,
-    subdivergence,
-    subdivergence_free,
 )
 from gluecount.generate import all_normalized_trees, random_coloured_pair, random_tree
 from gluecount.oracle import (
@@ -27,11 +24,9 @@ from gluecount.oracle import (
 )
 from gluecount.trees import (
     Colour,
-    colour_multiset,
     is_normalized,
     multiset_key,
     parse_tree,
-    serialize_tree,
     sibling_sets,
 )
 
@@ -64,13 +59,13 @@ class TestCutAndRelabel:
         t = parse_tree("((*),*)")
         (edge,) = t.internal_edge_list
         d = cut_and_relabel(t, {edge})
-        assert serialize_tree(d.trunk) == "(#{*:1},*)"
+        assert d.trunk.canon == "(#{*:1},*)"
         assert [c.canon for c in d.components] == ["(*)"]
 
     def test_equal_components_share_a_fresh_colour(self):
         t = parse_tree("((*,*),(*,*))")
         d = cut_and_relabel(t, set(t.internal_edge_list))
-        assert serialize_tree(d.trunk) == "(#{*:2},#{*:2})"
+        assert d.trunk.canon == "(#{*:2},#{*:2})"
         assert len(d.components) == 2
 
     def test_component_count_matches_cut_size(self):
@@ -85,7 +80,7 @@ class TestCutAndRelabel:
             t = random_tree(rng, rng.randint(2, 7))
             for cut in sibling_sets(t):
                 d = cut_and_relabel(t, cut)
-                expanded = Counter(colour_multiset(d.trunk))
+                expanded = Counter(d.trunk.colour_counts)
                 for comp in d.components:
                     stump = Colour.fresh(multiset_key(comp.colour_counts))
                     assert expanded[stump] > 0
@@ -117,8 +112,8 @@ class TestCutAndRelabel:
         t = parse_tree("((#{*:1},*),*)")
         (edge,) = t.internal_edge_list
         d = cut_and_relabel(t, {edge})
-        assert serialize_tree(d.trunk) == "(##{*:1,#{*:1}:1},*)"
-        assert parse_tree(serialize_tree(d.trunk)) == d.trunk
+        assert d.trunk.canon == "(##{*:1,#{*:1}:1},*)"
+        assert parse_tree(d.trunk.canon) == d.trunk
 
     def test_double_cut_distinguishes_stump_generations(self):
         t = parse_tree("(((*),*),*)")
@@ -128,8 +123,8 @@ class TestCutAndRelabel:
         first = cut_and_relabel(t, {inner})
         (again,) = first.trunk.internal_edge_list
         second = cut_and_relabel(first.trunk, {again})
-        assert serialize_tree(second.trunk) == "(##{*:1,#{*:1}:1},*)"
-        stumps = [c for c in colour_multiset(second.trunk) if c.is_fresh]
+        assert second.trunk.canon == "(##{*:1,#{*:1}:1},*)"
+        stumps = [c for c in second.trunk.colour_counts if c.is_fresh]
         assert len(stumps) == 1
         assert stumps[0].key.startswith("#")
 
@@ -148,15 +143,6 @@ class TestSubdivergenceCount:
         t = parse_tree("((*),(*))")
         assert count_with_subdivergences(t, t) == 2
         assert count_subfree_cutpre(t, t) == 0
-
-    def test_prune_toggle_agrees(self):
-        rng = random.Random(6)
-        for _ in range(40):
-            n = rng.randint(2, 6)
-            t1, t2 = random_coloured_pair(rng, n, rng.randint(1, 3))
-            assert count_with_subdivergences(
-                t1, t2, prune=True
-            ) == count_with_subdivergences(t1, t2, prune=False)
 
     def test_complements_colour_preserving_total(self):
         rng = random.Random(7)
@@ -230,10 +216,14 @@ class TestHeadlineCount:
         assert time.monotonic() - start < 1.0
         assert count_subfree_brute(t, t) == 0
 
-    def test_aliases(self):
-        t1, t2 = parse_tree("((*),*)"), parse_tree("((*),*)")
-        assert subdivergence_free(t1, t2) == count_subfree_cutpre(t1, t2) == 1
-        assert subdivergence(t1, t2) == count_with_subdivergences(t1, t2) == 1
+    def test_numbered_spurs_force_a_cut(self):
+        # Two leaves of colour 1 hang alone on each side, more than the
+        # class of three can keep apart: zero without any pair work.
+        cut_count.clear_cache()
+        t = parse_tree("((1),(1),1)")
+        assert count_subfree_cutpre(t, t) == 0
+        assert cut_count.cache_info()["pairs"] == 0
+        assert count_subfree_brute(t, t) == 0
 
 
 class TestPartitionProperty:
@@ -269,7 +259,7 @@ class TestPartitionProperty:
                 )
             for cut2 in sibling_sets(t2):
                 d2 = cut_and_relabel(t2, cut2)
-                term = weight * subdivergence_free(d1.trunk, d2.trunk)
+                term = weight * count_subfree_cutpre(d1.trunk, d2.trunk)
                 if term:
                     expected[(frozenset(cut1), frozenset(cut2))] = term
         assert buckets == expected
@@ -278,11 +268,16 @@ class TestPartitionProperty:
 
 class TestDecompositionReuse:
     def test_list_is_cached_and_complete(self):
+        # The trimming rows of a tree are built once and account for
+        # every sibling set, one multiplicity each.
+        cut_count.clear_cache()
         t = parse_tree("(((*),*),*)")
-        first = decomposition_list(t)
-        assert first is decomposition_list(t)
-        assert len(first) == sum(1 for _ in sibling_sets(t))
-        assert all(isinstance(d, CutDecomposition) for d in first)
+        tid = cut_count._intern(t)
+        rows = cut_count._rows_of(tid)
+        assert rows is cut_count._rows_of(tid)
+        assert sum(m for *_, m in rows) == sum(1 for _ in sibling_sets(t))
+        d = cut_and_relabel(t, next(sibling_sets(t)))
+        assert isinstance(d, CutDecomposition)
 
     def test_shared_left_tree_matches_fresh_runs(self):
         t1 = parse_tree("((*,*),*)")
@@ -303,8 +298,4 @@ class TestCaches:
         info = cut_count.cache_info()
         assert info["trees"] > 0 and info["pairs"] > 0
         cut_count.clear_cache()
-        assert cut_count.cache_info() == {
-            "trees": 0,
-            "pairs": 0,
-            "decompositions": 0,
-        }
+        assert cut_count.cache_info() == {"trees": 0, "pairs": 0}

@@ -9,7 +9,7 @@ from gluecount.generate import (
     random_tree,
     recoloured,
 )
-from gluecount.trees import Colour, colour_multiset, is_normalized, parse_tree
+from gluecount.trees import Colour, is_normalized, parse_tree
 
 
 def test_one_leaf_universe_by_hand():
@@ -75,7 +75,7 @@ def test_random_tree_hits_varied_shapes():
 def test_recoloured():
     t = parse_tree("((*,*),*)")
     c = recoloured(t, [Colour.base(1), Colour.base(2), Colour.base(1)])
-    assert colour_multiset(c) == Counter(
+    assert c.colour_counts == Counter(
         {Colour.base(1): 2, Colour.base(2): 1}
     )
     assert c.canon != t.canon
@@ -88,4 +88,4 @@ def test_random_coloured_pair_matches_multisets():
     for _ in range(20):
         t1, t2 = random_coloured_pair(rng, 5, 3)
         assert t1.leaf_count == t2.leaf_count == 5
-        assert colour_multiset(t1) == colour_multiset(t2)
+        assert t1.colour_counts == t2.colour_counts

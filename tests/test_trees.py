@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 
 from conftest import trees
+from gluecount.generate import all_normalized_trees, random_coloured_pair
 from gluecount.trees import (
     Colour,
     Fan,
@@ -16,16 +18,13 @@ from gluecount.trees import (
     add_root,
     build_family,
     colour_classes,
-    colour_multiset,
     contract_edge,
     from_nested,
-    internal_edges,
     is_normalized,
     is_sibling_set,
     multiset_key,
     normalize,
     parse_tree,
-    serialize_tree,
     sibling_sets,
     single_vertex,
     subdivide_edge,
@@ -35,26 +34,26 @@ from gluecount.trees import (
 class TestParse:
     def test_roundtrip_fixed_strings(self):
         for text in ["*", "(*)", "(*,*)", "((*),*)", "((1,2),*,3)", "(#{*:2},*)"]:
-            assert serialize_tree(parse_tree(text)) == text
+            assert parse_tree(text).canon == text
 
     def test_whitespace_ignored(self):
         assert parse_tree(" ( * , ( 1 ) ) ") == parse_tree("(*,(1))")
 
     def test_zero_is_star(self):
         assert parse_tree("0") == parse_tree("*")
-        assert serialize_tree(parse_tree("(0,0)")) == "(*,*)"
+        assert parse_tree("(0,0)").canon == "(*,*)"
 
     def test_fresh_colour_roundtrip(self):
         t = parse_tree("(#{*:1,2:3},#{*:1,2:3},*)")
-        assert serialize_tree(t) == "(#{*:1,2:3},#{*:1,2:3},*)"
-        fresh = [c for c in colour_multiset(t) if c.is_fresh]
+        assert t.canon == "(#{*:1,2:3},#{*:1,2:3},*)"
+        fresh = [c for c in t.colour_counts if c.is_fresh]
         assert len(fresh) == 1 and fresh[0].key == "{*:1,2:3}"
 
     def test_escaped_fresh_colour_roundtrip(self):
         # extra leading # marks stay part of the key
         t = parse_tree("(##{*:1},#{*:1})")
-        assert serialize_tree(t) == "(##{*:1},#{*:1})"
-        keys = sorted(c.key for c in colour_multiset(t) if c.is_fresh)
+        assert t.canon == "(##{*:1},#{*:1})"
+        keys = sorted(c.key for c in t.colour_counts if c.is_fresh)
         assert keys == ["#{*:1}", "{*:1}"]
 
     def test_escaped_fresh_colours_are_distinct(self):
@@ -85,24 +84,24 @@ class TestIdentity:
 
     @given(trees(max_leaves=6, n_colours=3))
     def test_parse_inverts_serialize(self, t):
-        assert parse_tree(serialize_tree(t)) == t
+        assert parse_tree(t.canon) == t
 
 
 class TestFamilies:
     def test_lines(self):
-        assert serialize_tree(build_family(Line(1))) == "(*)"
-        assert serialize_tree(build_family(Line(2))) == "((*),*)"
-        assert serialize_tree(build_family(Line(4))) == "((((*),*),*),*)"
+        assert build_family(Line(1)).canon == "(*)"
+        assert build_family(Line(2)).canon == "((*),*)"
+        assert build_family(Line(4)).canon == "((((*),*),*),*)"
 
     def test_fans(self):
-        assert serialize_tree(build_family(Fan(1))) == "(*)"
-        assert serialize_tree(build_family(Fan(3))) == "(*,*,*)"
+        assert build_family(Fan(1)).canon == "(*)"
+        assert build_family(Fan(3)).canon == "(*,*,*)"
 
     def test_line_s_layout(self):
         t = build_family(LineS(8, {3, 5, 6}))
-        assert serialize_tree(t) == "((((*,*,*),*,*),*),*,*)"
+        assert t.canon == "((((*,*,*),*,*),*),*,*)"
         # Leaf counts below the chain edges are exactly the marks.
-        sizes = sorted(len(t.leaves_below(e)) for e in internal_edges(t))
+        sizes = sorted(len(t.leaves_below(e)) for e in t.internal_edge_list)
         assert sizes == [3, 5, 6]
 
     def test_line_s_extremes(self):
@@ -111,12 +110,12 @@ class TestFamilies:
 
     def test_two_ended(self):
         t = build_family(TwoEnded(2, 1))
-        assert serialize_tree(t) == "(((*),*),(*))"
+        assert t.canon == "(((*),*),(*))"
         assert build_family(TwoEnded(1, 3)) == build_family(TwoEnded(3, 1))
 
     def test_fan_line(self):
         t = build_family(FanLine(4, 3, 1))
-        assert serialize_tree(t) == "((((*),*),(*)),*)"
+        assert t.canon == "((((*),*),(*)),*)"
         assert build_family(FanLine(5, 2, 3)).leaf_count == 5 + 2 * (3 - 1)
 
     @pytest.mark.parametrize(
@@ -138,15 +137,15 @@ class TestFamilies:
 class TestStructure:
     def test_internal_edges_and_leafsets(self):
         t = build_family(Line(3))
-        sizes = sorted(len(t.leaves_below(e)) for e in internal_edges(t))
+        sizes = sorted(len(t.leaves_below(e)) for e in t.internal_edge_list)
         assert sizes == [1, 2]
         with pytest.raises(ValueError):
             t.leaves_below(t.root)
 
     def test_single_vertex(self):
         t = single_vertex()
-        assert serialize_tree(t) == "*"
-        assert t.leaf_count == 1 and internal_edges(t) == ()
+        assert t.canon == "*"
+        assert t.leaf_count == 1 and t.internal_edge_list == ()
 
     def test_subtree_keeps_ids(self):
         t = from_nested([[0, 0], [1], 2])
@@ -170,27 +169,45 @@ class TestStructure:
 
     def test_add_root(self):
         t = add_root([single_vertex(Colour.base(5)), build_family(Line(1))])
-        assert serialize_tree(t) == "((*),5)"
+        assert t.canon == "((*),5)"
 
     def test_canonical_leaf_order_matches_canon(self):
         t = parse_tree("(3,(2,1),*)")
         tokens = [t.colour_of(v).token() for v in t.canonical_leaf_order]
         assert tokens == ["1", "2", "*", "3"]
-        assert serialize_tree(t) == "((1,2),*,3)"
+        assert t.canon == "((1,2),*,3)"
+
+    def test_leaf_masks_match_leaf_sets(self):
+        rng = random.Random(11)
+        sample = [t for n in range(1, 7) for t in all_normalized_trees(n)]
+        sample += [
+            t
+            for _ in range(40)
+            for t in random_coloured_pair(rng, rng.randint(1, 8), 3)
+        ]
+        for t in sample:
+            idx = t.leaf_index
+            assert len(t.edge_masks) == len(t.internal_edge_list)
+            for e, mask in zip(t.internal_edge_list, t.edge_masks):
+                assert mask == t.leaf_mask(e)
+                assert mask == sum(1 << idx[v] for v in t.leaves_below(e))
+            assert t.leaf_mask(t.root) == (1 << t.leaf_count) - 1
+            for v in t.leaves:
+                assert t.leaf_mask(v) == 1 << idx[v]
 
     def test_colour_groupings(self):
         t = parse_tree("((1,2),*,1)")
         classes = colour_classes(t)
         assert [c.token() for c in classes] == ["*", "1", "2"]
         assert len(classes[Colour.base(1)]) == 2
-        assert colour_multiset(t)[Colour.base(1)] == 2
-        assert multiset_key(colour_multiset(t)) == "{*:1,1:2,2:1}"
+        assert t.colour_counts[Colour.base(1)] == 2
+        assert multiset_key(t.colour_counts) == "{*:1,1:2,2:1}"
 
 
 class TestEdits:
     def test_contract_line_to_fan(self):
         t = build_family(Line(2))
-        (e,) = internal_edges(t)
+        (e,) = t.internal_edge_list
         assert contract_edge(t, e) == build_family(Fan(2))
 
     def test_contract_rejects_leaf_edge(self):
@@ -201,7 +218,7 @@ class TestEdits:
 
     def test_subdivide_internal_then_normalize_is_identity(self):
         t = parse_tree("((*,(*)),*,(*,*))")
-        for e in internal_edges(t):
+        for e in t.internal_edge_list:
             grown = subdivide_edge(t, e)
             assert grown != t
             assert normalize(grown) == normalize(t)
@@ -230,7 +247,7 @@ class TestEdits:
         assert is_normalized(once)
         assert normalize(once) == once
         assert once.leaf_count == t.leaf_count
-        assert colour_multiset(once) == colour_multiset(t)
+        assert once.colour_counts == t.colour_counts
 
 
 class TestSiblingSets:
@@ -241,7 +258,7 @@ class TestSiblingSets:
 
     @given(trees(max_leaves=7))
     def test_matches_filtered_powerset(self, t):
-        edges = internal_edges(t)
+        edges = t.internal_edge_list
         expected = {
             frozenset(s)
             for r in range(1, len(edges) + 1)
@@ -252,10 +269,34 @@ class TestSiblingSets:
 
     def test_is_sibling_set_rejects_chains_and_empty(self):
         t = build_family(Line(4))
-        chain = internal_edges(t)
+        chain = t.internal_edge_list
         assert not is_sibling_set(t, ())
         assert not is_sibling_set(t, chain[:2])
         assert all(is_sibling_set(t, [e]) for e in chain)
+
+
+class TestDeepTrees:
+    DEPTH = 5000
+
+    def deep(self):
+        return parse_tree("(" * self.DEPTH + "*" + ")" * self.DEPTH)
+
+    def test_parses(self):
+        t = self.deep()
+        assert t.leaf_count == 1
+        assert len(t.internal_edge_list) == self.DEPTH - 1
+
+    def test_normalizes_to_a_stalk(self):
+        assert normalize(self.deep()).canon == "((*))"
+
+    def test_sibling_sets(self):
+        assert sum(1 for _ in sibling_sets(self.deep())) == self.DEPTH - 1
+
+    def test_from_nested(self):
+        spec = 0
+        for _ in range(self.DEPTH):
+            spec = [spec]
+        assert from_nested(spec) == self.deep()
 
 
 class TestValidation:
