@@ -77,13 +77,16 @@ class RunReport:
 def _count_once(algo: str, t1: RootedTree, t2: RootedTree) -> tuple[int, str]:
     """Count with the requested algorithm; returns (count, resolved name).
 
-    ``auto`` uses the closed form when one covers the pair and the general
+    ``auto`` uses the closed form when one covers the pair, the recursive
+    counter when each tree has a single leaf colour, and the general
     cut-based counter otherwise.
     """
     if algo == "auto":
         try:
             return closed_count(t1, t2), "closed"
         except ValueError:
+            if len(t1.colour_counts) == len(t2.colour_counts) == 1:
+                return count_subfree_recursive(t1, t2), "recursive"
             return count_subfree_cutpre(t1, t2), "cutpre"
     if algo == "brute":
         return count_subfree_brute(t1, t2), algo

@@ -20,10 +20,17 @@ negative positions are dropped.
 import itertools
 from collections import Counter
 from functools import cache
-from math import factorial
 from typing import Iterable
 
+_factorials = [1]  # _factorials[i] == i!
 _connected = [0, 1]  # c_0 = 0 by convention, c_1 = 1
+
+
+def _factorial_table(n: int) -> list[int]:
+    """The module's factorial list, grown to hold 0! .. n!."""
+    while len(_factorials) <= n:
+        _factorials.append(_factorials[-1] * len(_factorials))
+    return _factorials
 
 
 def connected_count(n: int) -> int:
@@ -32,9 +39,9 @@ def connected_count(n: int) -> int:
         raise ValueError(f"need n >= 0, got {n}")
     while len(_connected) <= n:
         m = len(_connected)
+        fact = _factorial_table(m)
         _connected.append(
-            factorial(m)
-            - sum(factorial(i) * _connected[m - i] for i in range(1, m))
+            fact[m] - sum(fact[i] * _connected[m - i] for i in range(1, m))
         )
     return _connected[n]
 
@@ -57,10 +64,11 @@ def s_connected_count(n: int, constraints: Iterable[int] = ()) -> int:
     if 0 in wanted or any(s >= n for s in wanted):
         return 0
     marks = sorted(s for s in wanted if s > 0)
+    fact = _factorial_table(n)
     best: dict[int, int] = {}
     for d in sorted({0, *marks}, reverse=True):
-        best[d] = factorial(n - d) - sum(
-            factorial(s - d) * best[s] for s in marks if s > d
+        best[d] = fact[n - d] - sum(
+            fact[s - d] * best[s] for s in marks if s > d
         )
     return best[0]
 

@@ -14,9 +14,12 @@ peels the left tree apart one branch at a time:
 The right tree is never decomposed; only the set of its subtree leaf masks
 matters.  Everything is memoized across calls on interned canonical trees,
 with leaf subsets as bitmasks over canonical leaf positions, so sweeps over
-many tree pairs share work.  This engine handles a single leaf colour only;
-mixed-colour inputs belong to :mod:`gluecount.cut_count`, which reduces them
-to monochrome pieces.
+many tree pairs share work.  The pieces of a decomposition are bit ranges
+of their parent's positions: the stalk child keeps them all; the split-off
+branch, the root's first child in canonical order, holds the lowest ``b``;
+the remainder holds the rest, shifted down by ``b``.  This engine handles a
+single leaf colour only; mixed-colour inputs belong to
+:mod:`gluecount.cut_count`, which reduces them to monochrome pieces.
 """
 
 import itertools
@@ -25,7 +28,7 @@ from math import comb, factorial
 from typing import Iterable, Optional
 
 from .oracle import PartialMode
-from .trees import RootedTree, normalize
+from .trees import RootedTree, add_root, normalize
 
 _FAN, _STALK, _SPLIT = "fan", "stalk", "split"
 
@@ -35,16 +38,15 @@ class _View:
     """Decomposition data for one interned tree."""
 
     leaf_count: int
-    full_mask: int
     lbs: frozenset  # leaf masks below internal edges, canonical positions
     kind: str
-    # stalk: the single child; split: the branch with the smallest
-    # serialization (wrapped under a fresh root) and the remainder.
+    # stalk: the single child, on the same positions; split: the first
+    # branch in canonical order under a fresh root, on the lowest
+    # ``branch_size`` positions, and the remainder, on the rest shifted
+    # down by ``branch_size``.
     part1_tid: int = -1
     part2_tid: int = -1
-    map1: tuple = ()
-    map2: tuple = ()
-    branch_mask: int = 0
+    branch_size: int = 0
 
 
 _trees: list[RootedTree] = []
@@ -69,56 +71,24 @@ def _mask_of(t: RootedTree, leaves: Iterable[int]) -> int:
     return sum(1 << index[v] for v in leaves)
 
 
-def _position_map(t: RootedTree, piece: RootedTree) -> tuple:
-    """Canonical position in ``t`` -> canonical position in ``piece`` for
-    the leaves the piece keeps (-1 elsewhere); both share vertex ids."""
-    piece_index = piece.leaf_index
-    return tuple(
-        piece_index.get(v, -1) for v in t.canonical_leaf_order
-    )
-
-
-def _with_stalk_root(t: RootedTree) -> RootedTree:
-    """A fresh root holding ``t`` as its only branch, vertex ids kept."""
-    new_root = max(t.vertices) + 1
-    children = {v: t.children_of(v) for v in t.vertices}
-    children[new_root] = (t.root,)
-    return RootedTree(
-        new_root, children, {v: t.colour_of(v) for v in t.leaves}
-    )
-
-
 def _build_view(tid: int) -> _View:
     t = _trees[tid]
-    common = dict(
-        leaf_count=t.leaf_count,
-        full_mask=(1 << t.leaf_count) - 1,
-        lbs=frozenset(t.edge_masks),
-    )
+    common = dict(leaf_count=t.leaf_count, lbs=frozenset(t.edge_masks))
     kids = t.children_of(t.root)
-    internal = [c for c in kids if not t.is_leaf(c)]
-    if not internal:
+    if all(t.is_leaf(c) for c in kids):
         return _View(kind=_FAN, **common)
     if len(kids) == 1:
-        child = t.subtree(kids[0])
-        return _View(
-            kind=_STALK,
-            part1_tid=_intern(child),
-            map1=_position_map(t, child),
-            **common,
-        )
-    branch = min(
-        (t.subtree(c) for c in kids), key=lambda s: s.canon
-    )
-    rest = t.without_branch(branch.root)
-    wrapped = _with_stalk_root(branch)
+        child = _intern(t.subtree(kids[0]))
+        return _View(kind=_STALK, part1_tid=child, **common)
+    # Positions are token positions in ``canon``, so the branch holding
+    # bit 0 is the root's first child: the one with the smallest
+    # serialization.  ``without_branch`` keeps the others in order.
+    first = next(c for c in kids if t.leaf_mask(c) & 1)
     return _View(
         kind=_SPLIT,
-        part1_tid=_intern(wrapped),
-        part2_tid=_intern(rest),
-        map1=_position_map(t, wrapped),
-        map2=_position_map(t, rest),
-        branch_mask=t.leaf_mask(branch.root),
+        part1_tid=_intern(add_root([t.subtree(first)])),
+        part2_tid=_intern(t.without_branch(first)),
+        branch_size=t.leaf_mask(first).bit_count(),
         **common,
     )
 
@@ -128,15 +98,6 @@ def _view(tid: int) -> _View:
     if v is None:
         v = _views[tid] = _build_view(tid)
     return v
-
-
-def _translate(mask: int, table: tuple) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _subsets(mask: int, size: int) -> Iterable[int]:
@@ -181,23 +142,19 @@ def _count(tid1: int, tid2: int, k: int, m1: int, m2: int, strict: bool) -> int:
         if k == v1.leaf_count == _view(tid2).leaf_count:
             total = 0  # the stalk cut swallows all of the right tree
         else:
-            total = _count(
-                v1.part1_tid, tid2, k, _translate(m1, v1.map1), m2, True
-            )
+            total = _count(v1.part1_tid, tid2, k, m1, m2, True)
     else:
-        m1a = m1 & v1.branch_mask
-        m1b = m1 & ~v1.branch_mask
-        t1a = _translate(m1a, v1.map1)
-        t1b = _translate(m1b, v1.map2)
+        m1a = m1 & ((1 << v1.branch_size) - 1)
+        m1b = m1 >> v1.branch_size
         total = 0
         lo = max(0, k - m1b.bit_count())
         hi = min(k, m1a.bit_count())
         for j in range(lo, hi + 1):
             for image in _subsets(m2, j):
-                first = _count(v1.part1_tid, tid2, j, t1a, image, False)
+                first = _count(v1.part1_tid, tid2, j, m1a, image, False)
                 if first:
                     total += first * _count(
-                        v1.part2_tid, tid2, k - j, t1b, m2 & ~image, False
+                        v1.part2_tid, tid2, k - j, m1b, m2 & ~image, False
                     )
     _memo[key] = total
     return total

@@ -72,6 +72,27 @@ class TestCount:
         assert "count 1" in second.splitlines()
         assert not second.startswith("{")
 
+    @pytest.mark.parametrize(
+        "t1, t2, resolved, count",
+        [
+            # 10-leaf monochrome pair that takes over a minute in cutpre.
+            (
+                "(((*),(*)),((*),*),(*),(*),(*,*),*,*)",
+                "((((*),(*)),((*),*),(*),(*,*),*),((*),*))",
+                "recursive",
+                10864,
+            ),
+            ("((1,2),1)", "((1,1),2)", "cutpre", 2),
+        ],
+    )
+    def test_auto_routes_past_closed_forms(
+        self, capsys, t1, t2, resolved, count
+    ):
+        _, out, _ = run(capsys, "count", "--t1", t1, "--t2", t2, "--json")
+        record = json.loads(out)
+        assert record["metadata"]["resolved"] == resolved
+        assert record["count"] == count
+
     def test_symmetry_across_algorithms(self, capsys):
         pair = ("(((*),*),*)", "((*,*),*)")
         for algo in ("brute", "recursive", "cutpre", "auto"):

@@ -195,6 +195,38 @@ class TestStructure:
             for v in t.leaves:
                 assert t.leaf_mask(v) == 1 << idx[v]
 
+    def test_root_pieces_are_bit_ranges(self):
+        # The recursive engine reads the pieces of a split as bit ranges of
+        # the parent's positions instead of translating masks.
+        sample = []
+        for t in (t for n in range(1, 8) for t in all_normalized_trees(n)):
+            children = {v: t.children_of(v) for v in t.vertices}
+            sample.append(t)
+            for colour in (Colour.base(3), Colour.fresh("{*:2}")):
+                sample.append(
+                    RootedTree(t.root, children, dict.fromkeys(t.leaves, colour))
+                )
+            if t.internal_edge_list:
+                sample.append(subdivide_edge(t, t.internal_edge_list[0]))
+        for t in sample:
+            kids = t.children_of(t.root)
+            masks = sorted(t.edge_masks)
+            if len(kids) == 1 and not t.is_leaf(kids[0]):
+                child = t.subtree(kids[0])
+                full = (1 << t.leaf_count) - 1
+                assert sorted([*child.edge_masks, full]) == masks
+            if len(kids) < 2:
+                continue
+            first = next(c for c in kids if t.leaf_mask(c) & 1)
+            assert t.subtree(first).canon == min(
+                t.subtree(c).canon for c in kids
+            )
+            b = t.leaf_mask(first).bit_count()
+            inside = [m for m in masks if m < 1 << b]
+            outside = [m >> b for m in masks if m >= 1 << b]
+            assert sorted(add_root([t.subtree(first)]).edge_masks) == inside
+            assert sorted(t.without_branch(first).edge_masks) == outside
+
     def test_colour_groupings(self):
         t = parse_tree("((1,2),*,1)")
         classes = colour_classes(t)
