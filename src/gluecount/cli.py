@@ -7,7 +7,10 @@ member's serialization.  Counts always print as exact decimal integers;
 ``--json`` switches to one structured record per line.
 
 Exit codes: 0 success, 1 algorithm disagreement, 2 usage or parse error,
-3 brute-force size limit exceeded.
+3 brute-force size limit exceeded.  Usage errors include ``--algo
+recursive`` on a tree with more than one leaf colour, a
+``GLUECOUNT_BRUTE_LIMIT`` that is not an integer, and a negative
+``verify --samples``.
 """
 
 import argparse
@@ -74,6 +77,17 @@ class RunReport:
         )
 
 
+def _brute_limit() -> int:
+    try:
+        return brute_leaf_limit()
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+
+
+def _monochrome(t1: RootedTree, t2: RootedTree) -> bool:
+    return len(t1.colour_counts) == len(t2.colour_counts) == 1
+
+
 def _count_once(algo: str, t1: RootedTree, t2: RootedTree) -> tuple[int, str]:
     """Count with the requested algorithm; returns (count, resolved name).
 
@@ -85,12 +99,18 @@ def _count_once(algo: str, t1: RootedTree, t2: RootedTree) -> tuple[int, str]:
         try:
             return closed_count(t1, t2), "closed"
         except ValueError:
-            if len(t1.colour_counts) == len(t2.colour_counts) == 1:
+            if _monochrome(t1, t2):
                 return count_subfree_recursive(t1, t2), "recursive"
             return count_subfree_cutpre(t1, t2), "cutpre"
     if algo == "brute":
+        _brute_limit()  # a malformed cap is a usage error, not a crash
         return count_subfree_brute(t1, t2), algo
     if algo == "recursive":
+        if not _monochrome(t1, t2):
+            raise UsageError(
+                "--algo recursive needs one leaf colour per tree; "
+                "use --algo cutpre or auto for mixed colours"
+            )
         return count_subfree_recursive(t1, t2), algo
     if algo == "cutpre":
         return count_subfree_cutpre(t1, t2), algo
@@ -166,9 +186,11 @@ def _agreement(t1: RootedTree, t2: RootedTree) -> Optional[str]:
 
 
 def cmd_verify(args) -> int:
-    limit = brute_leaf_limit()
+    limit = _brute_limit()
     if args.max_leaves < 1:
         raise UsageError("--max-leaves must be at least 1")
+    if args.samples < 0:
+        raise UsageError("--samples must be non-negative")
     if args.max_leaves > limit:
         raise UsageError(
             f"--max-leaves {args.max_leaves} exceeds the brute limit {limit}"
@@ -305,7 +327,7 @@ def cmd_sequence(args) -> int:
 def cmd_bench(args) -> int:
     fields = _parse_fields(args.params, args.family, sweep=True)
     rows = _swept_members(args.family, fields, args.upto)
-    limit = brute_leaf_limit()
+    limit = _brute_limit()
     reps = max(1, args.reps)
     if not args.json:
         print("value algorithm count min median")

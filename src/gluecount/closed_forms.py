@@ -127,20 +127,13 @@ def _shape(t: RootedTree) -> Optional[RootedTree]:
     )
 
 
-# Each recogniser reads the family parameters off the tree's leaf counts,
-# builds that one candidate and compares.  The ``as_*`` functions take any
-# tree; the ``_as_*`` readings take the uncoloured shape (or None).
+# Each recogniser reads the family parameters off the uncoloured shape's
+# leaf counts, builds that one candidate and compares.
 
 
-def as_line_marks(t: RootedTree) -> Optional[frozenset]:
+def _as_line_marks(t: RootedTree) -> Optional[frozenset]:
     """Mark set when ``t`` is a caterpillar (chain of internal vertices,
     leaves attached along it), else None."""
-    return _as_line_marks(_shape(t))
-
-
-def _as_line_marks(t: Optional[RootedTree]) -> Optional[frozenset]:
-    if t is None:
-        return None
     marks = frozenset(m.bit_count() for m in t.edge_masks)
     if any(not 1 <= m <= t.leaf_count - 1 for m in marks):
         return None
@@ -149,13 +142,9 @@ def _as_line_marks(t: Optional[RootedTree]) -> Optional[frozenset]:
     return None
 
 
-def as_two_ended(t: RootedTree) -> Optional[tuple[int, int]]:
+def _as_two_ended(t: RootedTree) -> Optional[tuple[int, int]]:
     """Arm lengths (k, l) with k >= l when ``t`` is a two-chain tree."""
-    return _as_two_ended(_shape(t))
-
-
-def _as_two_ended(t: Optional[RootedTree]) -> Optional[tuple[int, int]]:
-    if t is None or len(kids := t.children_of(t.root)) != 2:
+    if len(kids := t.children_of(t.root)) != 2:
         return None
     l, k = sorted(t.leaf_mask(c).bit_count() for c in kids)
     if t == build_family(TwoEnded(k, l)):
@@ -163,15 +152,11 @@ def _as_two_ended(t: Optional[RootedTree]) -> Optional[tuple[int, int]]:
     return None
 
 
-def as_fan_line(t: RootedTree) -> Optional[tuple[int, int, int]]:
+def _as_fan_line(t: RootedTree) -> Optional[tuple[int, int, int]]:
     """Parameters (k, i, j) when ``t`` is a chain with a side fan."""
-    return _as_fan_line(_shape(t))
-
-
-def _as_fan_line(t: Optional[RootedTree]) -> Optional[tuple[int, int, int]]:
     # The side fan and the chain's tip are the edges with the fewest (j)
     # leaves; the fan's parent, the higher of their parents, has 2j + i - 2.
-    if t is None or not t.edge_masks:
+    if not t.edge_masks:
         return None
     j = min(m.bit_count() for m in t.edge_masks)
     parent = t.parent
@@ -218,6 +203,8 @@ def closed_count(t1: RootedTree, t2: RootedTree) -> int:
 
 def _classify(t: RootedTree):
     shape = _shape(t)
+    if shape is None:
+        return None
     marks = _as_line_marks(shape)
     if marks is not None:
         return "line", marks

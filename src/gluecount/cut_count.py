@@ -36,7 +36,9 @@ from .trees import (
 def colour_preserving_count(c1: Counter, c2: Counter) -> int:
     """Gluings that pair equal colours only: 0 on mismatched multisets,
     otherwise the product of factorials of the multiplicities."""
-    if {c: m for c, m in c1.items() if m} != {c: m for c, m in c2.items() if m}:
+    if c1 is not c2 and (
+        {c: m for c, m in c1.items() if m} != {c: m for c, m in c2.items() if m}
+    ):
         return 0
     return prod(factorial(m) for m in c1.values())
 
@@ -103,10 +105,6 @@ _rows: list = []  # (n_cut, trunk id, weight sum, multiplicity), lazy
 _memo: dict[int, int] = {}
 
 
-def _self_count(c: Counter) -> int:
-    return prod(factorial(m) for m in c.values())
-
-
 def _spur_profile(t: RootedTree) -> dict:
     """Per colour: class size and how many of the class hang alone under
     an internal edge (their singleton is then a cuttable leaf set)."""
@@ -128,7 +126,7 @@ def _intern(t: RootedTree) -> int:
         raise RuntimeError("trimmed-tree table overflow")
     _ids[t.canon] = tid
     _ckeys.append(sys.intern(multiset_key(t.colour_counts)))
-    _totals.append(_self_count(t.colour_counts))
+    _totals.append(colour_preserving_count(t.colour_counts, t.colour_counts))
     _spurs.append(_spur_profile(t))
     _pending.append(t)
     _rows.append(None)
@@ -150,7 +148,10 @@ def _rows_of(tid: int) -> tuple:
     merged: dict[tuple, list] = {}
     for cut in sibling_sets(t):
         d = cut_and_relabel(t, cut)
-        weight = prod(_self_count(c.colour_counts) for c in d.components)
+        weight = prod(
+            colour_preserving_count(c.colour_counts, c.colour_counts)
+            for c in d.components
+        )
         cell = merged.setdefault((len(d.components), _intern(d.trunk)), [0, 0])
         cell[0] += weight
         cell[1] += 1

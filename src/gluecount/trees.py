@@ -243,16 +243,6 @@ class RootedTree:
         masks = self._layout[2]
         return tuple(masks[e] for e in self.internal_edge_list)
 
-    def leaves_below(self, edge: int) -> frozenset[int]:
-        """All leaves in the subtree hanging below ``edge``."""
-        if edge == self.root or edge not in self._children:
-            raise ValueError(f"no edge with child vertex {edge}")
-        mask = self.leaf_mask(edge)
-        first = (mask & -mask).bit_length() - 1
-        return frozenset(
-            self.canonical_leaf_order[first : first + mask.bit_count()]
-        )
-
     # -- canonical form ----------------------------------------------------
 
     @cached_property
@@ -616,14 +606,6 @@ def normalize(t: RootedTree) -> RootedTree:
     return RootedTree(t.root, children, colours)
 
 
-def is_normalized(t: RootedTree) -> bool:
-    return all(
-        not (len(t.children_of(v)) == 1 and not t.is_leaf(t.children_of(v)[0]))
-        for v in t.vertices
-        if v != t.root
-    )
-
-
 def is_sibling_set(t: RootedTree, edges: Iterable[int]) -> bool:
     """True when ``edges`` is a nonempty antichain of internal edges."""
     es = set(edges)
@@ -667,10 +649,3 @@ def sibling_sets(t: RootedTree) -> Iterator[frozenset[int]]:
         else:
             yield from (s for s in combos if s)
 
-
-def colour_classes(t: RootedTree) -> dict[Colour, tuple[int, ...]]:
-    """Leaves grouped by colour, each class in canonical leaf order."""
-    out: dict[Colour, list[int]] = {}
-    for v in t.canonical_leaf_order:
-        out.setdefault(t.colour_of(v), []).append(v)
-    return {c: tuple(vs) for c, vs in sorted(out.items())}

@@ -132,6 +132,28 @@ class TestCount:
         assert code == 2
         assert "closed form" in err
 
+    def test_recursive_on_mixed_colours_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--t1", "(1,2)", "--t2", "(1,2)",
+            "--algo", "recursive",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "cutpre" in err and "auto" in err
+
+    def test_non_integer_brute_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GLUECOUNT_BRUTE_LIMIT", "abc")
+        code, _, err = run(
+            capsys, "count", "--t1", "(*,*)", "--t2", "(*,*)",
+            "--algo", "brute",
+        )
+        assert code == 2
+        assert err.startswith(
+            "error: GLUECOUNT_BRUTE_LIMIT must be an integer"
+        )
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_small_exhaustive_passes(self, capsys):
@@ -167,6 +189,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--max-leaves", "5")
         assert code == 2
         assert "brute limit" in err
+
+    def test_non_integer_brute_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GLUECOUNT_BRUTE_LIMIT", "abc")
+        code, out, err = run(capsys, "verify", "--max-leaves", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "error: GLUECOUNT_BRUTE_LIMIT must be an integer"
+        )
+
+    def test_negative_samples_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--max-leaves", "3", "--samples", "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
 
 
 class TestSequence:

@@ -5,10 +5,8 @@ import itertools
 
 import pytest
 
+from _reference import as_fan_line, as_line_marks, as_two_ended
 from gluecount.closed_forms import (
-    as_fan_line,
-    as_line_marks,
-    as_two_ended,
     closed_count,
     fan_line_count,
     line_count,

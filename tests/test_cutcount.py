@@ -7,6 +7,13 @@ from math import factorial
 
 import pytest
 
+from _reference import (
+    boundary_antichain_pair,
+    has_fully_internal,
+    is_normalized,
+    iter_full_gluings,
+    leaves_below,
+)
 from gluecount import cut_count
 from gluecount.cut_count import (
     CutDecomposition,
@@ -16,15 +23,9 @@ from gluecount.cut_count import (
     cut_and_relabel,
 )
 from gluecount.generate import all_normalized_trees, random_coloured_pair, random_tree
-from gluecount.oracle import (
-    boundary_antichain_pair,
-    count_subfree_brute,
-    has_fully_internal,
-    iter_full_gluings,
-)
+from gluecount.oracle import count_subfree_brute
 from gluecount.trees import (
     Colour,
-    is_normalized,
     multiset_key,
     parse_tree,
     sibling_sets,
@@ -118,7 +119,7 @@ class TestCutAndRelabel:
     def test_double_cut_distinguishes_stump_generations(self):
         t = parse_tree("(((*),*),*)")
         inner = min(
-            t.internal_edge_list, key=lambda v: len(t.leaves_below(v))
+            t.internal_edge_list, key=lambda v: len(leaves_below(t, v))
         )
         first = cut_and_relabel(t, {inner})
         (again,) = first.trunk.internal_edge_list

@@ -3,13 +3,14 @@ from collections import Counter
 
 import pytest
 
+from _reference import is_normalized
 from gluecount.generate import (
     all_normalized_trees,
     random_coloured_pair,
     random_tree,
     recoloured,
 )
-from gluecount.trees import Colour, is_normalized, parse_tree
+from gluecount.trees import Colour, parse_tree
 
 
 def test_one_leaf_universe_by_hand():

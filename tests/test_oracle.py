@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tree_pairs_same_leaves, trees
-from gluecount.generate import all_normalized_trees
-from gluecount.oracle import (
-    BruteLimitError,
-    PartialMode,
+from _reference import (
     SubdivergenceKind,
     boundary_antichain_pair,
-    brute_leaf_limit,
-    count_partial_brute,
-    count_subfree_brute,
     has_fully_internal,
     has_fully_internal_literal,
     has_one_sided,
     has_one_sided_literal,
     iter_full_gluings,
+    leaves_below,
+)
+from conftest import tree_pairs_same_leaves, trees
+from gluecount.generate import all_normalized_trees
+from gluecount.oracle import (
+    BruteLimitError,
+    PartialMode,
+    brute_leaf_limit,
+    count_partial_brute,
+    count_subfree_brute,
 )
 from gluecount.trees import (
     Fan,
@@ -292,7 +295,7 @@ class TestBoundaryClassifier:
         g = line_gluing(t, t)  # depth-aligned: every edge matches
         s1, s2 = boundary_antichain_pair(t, t, g)
         (e1,) = s1
-        assert len(t.leaves_below(e1)) == 2  # the outer edge, not the deep one
+        assert len(leaves_below(t, e1)) == 2  # the outer edge, not the deep one
         assert len(s1) == len(s2) == 1
 
     def test_requires_full_gluing(self):

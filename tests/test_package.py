@@ -28,3 +28,39 @@ def test_runtime_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "gluecount", (
                     f"{path.name} imports {top}"
                 )
+
+
+def _load_names(node: ast.AST) -> set:
+    """Names a syntax tree reads, as bare names, attributes or imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_runtime_definition_has_a_runtime_caller():
+    """Code that only tests use belongs in ``tests/``: every top-level
+    function and class in the package is read elsewhere in the package,
+    exported, or imported by the acceptance suite or the benchmark."""
+    repo = SRC.parent.parent
+    outside = set(gluecount.__all__)
+    for path in [repo / "tests" / "test_acceptance.py", *repo.glob("bench/*.py")]:
+        outside |= _load_names(ast.parse(path.read_text()))
+    modules = {path: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    reads = [
+        (top, _load_names(top)) for module in modules.values() for top in module.body
+    ]
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, module in sorted(modules.items())
+        for node in module.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in outside
+        and not any(node.name in names for top, names in reads if top is not node)
+    ]
+    assert unused == []

@@ -24,6 +24,7 @@ from gluecount.trees import (
     parse_tree,
 )
 
+from _reference import leaves_below
 from conftest import tree_pairs_same_leaves, trees
 
 STRICT = PartialMode.NO_SUBDIVERGENCE
@@ -254,7 +255,7 @@ class TestReductionIdentities:
         # it hits one.
         fan = parse_tree("(*,*)")
         for t2 in all_normalized_trees(4):
-            masks = {frozenset(t2.leaves_below(e)) for e in t2.internal_edge_list}
+            masks = {frozenset(leaves_below(t2, e)) for e in t2.internal_edge_list}
             for image in itertools.combinations(sorted(t2.leaves), 2):
                 want = 0 if frozenset(image) in masks else 2
                 assert p(fan, t2, 2, None, image) == want
